@@ -11,7 +11,8 @@
 //! (submit → poll → fetch → verify bit-identical predictions) runs once
 //! as a correctness gate. Two admission scenarios ride along: a **burst
 //! submit** (4× `max_running_jobs` jobs at once, asserting the FIFO
-//! queue admits them in order without a 429) and an **SSE fan-out**
+//! queue admits them in submission order without a 429, and reporting
+//! whether they also finished in that order) and an **SSE fan-out**
 //! (many concurrent `jobs/{id}/events` watchers on the dedicated
 //! streamer thread while predict load runs, recording how much the
 //! watchers cost `/predict` p50 against a single-watcher baseline).
@@ -89,7 +90,12 @@ struct BurstStats {
     running_after_burst: usize,
     /// Jobs observed `queued` right after the burst.
     queued_after_burst: usize,
-    /// `true` when every job finished in submission order.
+    /// `true` when the scheduler admitted the jobs in submission order
+    /// (asserted: FIFO admission is the contract).
+    admitted_in_submission_order: bool,
+    /// `true` when every job also finished in submission order
+    /// (reported only: it depends on run times the host's load
+    /// stretches, not on the scheduler).
     completed_in_submission_order: bool,
     /// Burst submit → last job finished, seconds.
     total_secs: f64,
@@ -337,9 +343,8 @@ fn run_burst(smoke: bool) -> BurstStats {
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.serve());
 
-    // Later jobs are strictly longer — by enough generations that
-    // adjacent completions are separated by real wall time — so FIFO
-    // completion is observable without timing luck.
+    // Later jobs are longer, so on a quiet host they also finish in
+    // submission order; only the admission order is asserted.
     let step = if smoke { 50 } else { 80 };
     let t0 = Instant::now();
     let ids: Vec<u64> = (0..submitted)
@@ -397,9 +402,17 @@ fn run_burst(smoke: bool) -> BurstStats {
     }
     let total_secs = t0.elapsed().as_secs_f64();
     let completed_in_submission_order = completion_order == ids;
+    // The scheduler stamps each admission; FIFO means those stamps
+    // follow submission order.
+    let admission: Vec<Option<u64>> = ids
+        .iter()
+        .map(|&id| handle.shared().jobs.get(id).and_then(|e| e.admission_seq()))
+        .collect();
+    let admitted_in_submission_order =
+        admission.iter().all(Option::is_some) && admission.windows(2).all(|w| w[0] < w[1]);
     assert!(
-        completed_in_submission_order,
-        "FIFO violated: {completion_order:?} vs {ids:?}"
+        admitted_in_submission_order,
+        "FIFO admission violated: admission stamps {admission:?} for jobs {ids:?}"
     );
 
     handle.shutdown();
@@ -412,6 +425,7 @@ fn run_burst(smoke: bool) -> BurstStats {
         max_running_jobs: max_running,
         running_after_burst,
         queued_after_burst,
+        admitted_in_submission_order,
         completed_in_submission_order,
         total_secs,
     }
@@ -575,11 +589,12 @@ fn main() {
         snapshot.job.bit_identical,
     );
     println!(
-        "  burst: {} jobs into {} slots → {} running / {} queued after submit, FIFO order {}, drained in {:.2}s",
+        "  burst: {} jobs into {} slots → {} running / {} queued after submit, FIFO admission {}, finished in order {}, drained in {:.2}s",
         snapshot.burst.submitted,
         snapshot.burst.max_running_jobs,
         snapshot.burst.running_after_burst,
         snapshot.burst.queued_after_burst,
+        snapshot.burst.admitted_in_submission_order,
         snapshot.burst.completed_in_submission_order,
         snapshot.burst.total_secs,
     );

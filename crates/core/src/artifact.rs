@@ -14,6 +14,7 @@
 //! byte-identical fronts share a version, two different fronts never
 //! collide in practice.
 
+use caffeine_doe::PointMatrix;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CaffeineError;
@@ -135,14 +136,45 @@ impl ModelArtifact {
     ///
     /// # Errors
     ///
-    /// [`CaffeineError::InvalidData`] for an empty batch, a ragged batch,
-    /// a row whose width differs from [`ModelArtifact::n_vars`], or an
-    /// out-of-range `model_index`.
+    /// As [`ModelArtifact::predict_matrix`], plus
+    /// [`CaffeineError::InvalidData`] for a ragged batch.
     pub fn predict(
         &self,
         model_index: Option<usize>,
         points: &[Vec<f64>],
     ) -> Result<Vec<f64>, CaffeineError> {
+        let pm = PointMatrix::try_from_rows(points)
+            .map_err(|e| CaffeineError::InvalidData(e.to_string()))?;
+        self.predict_matrix(model_index, &pm)
+    }
+
+    /// Predicts every point of a column-major batch with the model at
+    /// `model_index` (default: [`ModelArtifact::best`]). This is the one
+    /// guard untrusted batches pass through (the serving daemon's
+    /// predict endpoint decodes straight into a [`PointMatrix`]):
+    /// [`Model::predict_matrix`] itself indexes columns unchecked.
+    ///
+    /// # Errors
+    ///
+    /// [`CaffeineError::InvalidData`] for an empty batch, points whose
+    /// width differs from [`ModelArtifact::n_vars`], an out-of-range
+    /// `model_index`, or points narrower than the model's
+    /// [`Model::min_vars`].
+    pub fn predict_matrix(
+        &self,
+        model_index: Option<usize>,
+        points: &PointMatrix,
+    ) -> Result<Vec<f64>, CaffeineError> {
+        if points.n_points() == 0 {
+            return Err(CaffeineError::InvalidData("empty prediction batch".into()));
+        }
+        if points.n_vars() != self.n_vars() {
+            return Err(CaffeineError::InvalidData(format!(
+                "points have {} values but the model takes {} variables",
+                points.n_vars(),
+                self.n_vars()
+            )));
+        }
         let model = match model_index {
             None => self.best(),
             Some(i) => self.models.get(i).ok_or_else(|| {
@@ -152,18 +184,16 @@ impl ModelArtifact {
                 ))
             })?,
         };
-        for (t, p) in points.iter().enumerate() {
-            if p.len() != self.n_vars() {
-                return Err(CaffeineError::InvalidData(format!(
-                    "point {t} has {} values but the model takes {} variables",
-                    p.len(),
-                    self.n_vars()
-                )));
-            }
+        // `validate` already bounds every model's `min_vars` by `n_vars`;
+        // re-checked here because evaluation indexes columns unchecked.
+        if points.n_vars() < model.min_vars() {
+            return Err(CaffeineError::InvalidData(format!(
+                "points have {} values but the model references variable {}",
+                points.n_vars(),
+                model.min_vars() - 1
+            )));
         }
-        // The exact-width check above subsumes the raggedness check;
-        // predict_checked adds the empty-batch guard and evaluates.
-        model.predict_checked(points)
+        Ok(model.predict_matrix(points))
     }
 
     /// Renders the artifact as compact JSON.
@@ -305,11 +335,30 @@ mod tests {
     #[test]
     fn predict_guards_batch_shape() {
         let a = artifact();
-        assert!(a.predict(None, &[]).is_err());
-        assert!(a.predict(None, &[vec![1.0]]).is_err());
-        assert!(a.predict(None, &[vec![1.0, 2.0, 3.0]]).is_err());
-        assert!(a.predict(Some(7), &[vec![1.0, 2.0]]).is_err());
+        let err = |r: Result<Vec<f64>, CaffeineError>| r.unwrap_err().to_string();
+        assert!(err(a.predict(None, &[])).contains("empty"));
+        assert!(err(a.predict(None, &[vec![1.0]])).contains("variables"));
+        assert!(err(a.predict(None, &[vec![1.0, 2.0, 3.0]])).contains("variables"));
+        assert!(err(a.predict(None, &[vec![1.0, 2.0], vec![1.0]])).contains("ragged"));
+        assert!(err(a.predict(Some(7), &[vec![1.0, 2.0]])).contains("out of range"));
         let ys = a.predict(None, &[vec![2.0, 3.0]]).unwrap();
         assert_eq!(ys, a.models[1].predict(&[vec![2.0, 3.0]]));
+    }
+
+    #[test]
+    fn predict_matrix_is_the_row_path_without_the_transpose() {
+        let a = artifact();
+        let rows = vec![vec![2.0, 3.0], vec![0.5, 4.0], vec![1.0, 1.0]];
+        let pm = PointMatrix::from_rows(&rows);
+        for index in [None, Some(0), Some(1)] {
+            assert_eq!(
+                a.predict_matrix(index, &pm).unwrap(),
+                a.predict(index, &rows).unwrap()
+            );
+        }
+        let empty = PointMatrix::from_row_major(0, 2, &[]).unwrap();
+        assert!(a.predict_matrix(None, &empty).is_err());
+        let zero_width = PointMatrix::from_row_major(3, 0, &[]).unwrap();
+        assert!(a.predict_matrix(None, &zero_width).is_err());
     }
 }

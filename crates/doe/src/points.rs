@@ -76,6 +76,36 @@ impl PointMatrix {
         })
     }
 
+    /// Transposes a flat row-major buffer (`rows[t * n_vars + j]` is
+    /// variable `j` of point `t`) into column-major storage — the
+    /// layout a streaming decoder fills without one allocation per row.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::DoeError::InvalidParameter`] when `rows.len()` is not
+    /// `n_points * n_vars`.
+    pub fn from_row_major(
+        n_points: usize,
+        n_vars: usize,
+        rows: &[f64],
+    ) -> Result<PointMatrix, crate::DoeError> {
+        if n_points.checked_mul(n_vars) != Some(rows.len()) {
+            return Err(crate::DoeError::InvalidParameter(format!(
+                "{} row-major values do not fill {n_points} points of {n_vars} variables",
+                rows.len()
+            )));
+        }
+        let mut data = Vec::with_capacity(rows.len());
+        for j in 0..n_vars {
+            data.extend(rows.iter().skip(j).step_by(n_vars).copied());
+        }
+        Ok(PointMatrix {
+            n_points,
+            n_vars,
+            data,
+        })
+    }
+
     /// Number of design points `N`.
     #[inline]
     pub fn n_points(&self) -> usize {
@@ -153,6 +183,25 @@ mod tests {
             ok,
             PointMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]])
         );
+    }
+
+    #[test]
+    fn from_row_major_matches_from_rows() {
+        let rows = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
+        let flat: Vec<f64> = rows.concat();
+        assert_eq!(
+            PointMatrix::from_row_major(2, 3, &flat).unwrap(),
+            PointMatrix::from_rows(&rows)
+        );
+        // Zero-width points still count.
+        let pm = PointMatrix::from_row_major(2, 0, &[]).unwrap();
+        assert_eq!((pm.n_points(), pm.n_vars()), (2, 0));
+        assert_eq!(
+            PointMatrix::from_row_major(0, 0, &[]).unwrap(),
+            PointMatrix::from_rows(&[])
+        );
+        let err = PointMatrix::from_row_major(2, 2, &flat).unwrap_err();
+        assert!(err.to_string().contains("do not fill"), "{err}");
     }
 
     #[test]

@@ -475,8 +475,11 @@ impl fmt::Debug for Span<'_> {
     }
 }
 
-/// Mixes a seed into a well-distributed 64-bit value (splitmix64 finalizer).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// Mixes a seed into a well-distributed 64-bit value (splitmix64
+/// finalizer): a fixed permutation of its input, so a stream derived from
+/// it replays exactly per seed (request ids, the serve client's retry
+/// jitter).
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -597,6 +600,14 @@ mod tests {
         assert!(!logger.span(Level::Debug, "solve", &acc).is_recording());
         assert!(logger.span(Level::Info, "solve", &acc).is_recording());
         assert!(!Span::noop().is_recording());
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_vectors() {
+        // The first outputs of the reference splitmix64 generator seeded
+        // with 0: its state advances by the golden gamma, then mixes.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(0x9e37_79b9_7f4a_7c15), 0x6e78_9e6a_a1b9_65f4);
     }
 
     #[test]

@@ -247,15 +247,16 @@ impl Connection {
         let writing = |e| (RequestPhase::Write, e);
         let stream = self.connect().map_err(writing)?;
         let body = body.unwrap_or(&[]);
-        write!(
+        send_request(
             stream,
-            "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ntraceparent: {}\r\ncontent-length: {}\r\n\r\n",
-            ctx.traceparent(),
-            body.len()
+            format_args!(
+                "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ntraceparent: {}\r\ncontent-length: {}\r\n\r\n",
+                ctx.traceparent(),
+                body.len()
+            ),
+            body,
         )
         .map_err(writing)?;
-        stream.write_all(body).map_err(writing)?;
-        stream.flush().map_err(writing)?;
         let (response, server_keeps) =
             read_framed_response(stream).map_err(|e| (RequestPhase::Read, e))?;
         if !server_keeps {
@@ -318,19 +319,11 @@ impl RetryPolicy {
     /// Jitter factor in `[0.5, 1.0)` for `attempt` — splitmix64 over
     /// `(seed, attempt)`, so the schedule replays exactly per seed.
     fn jitter(&self, attempt: u32) -> f64 {
-        let bits = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let bits = caffeine_obs::splitmix64(
+            self.seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
         0.5 + 0.5 * ((bits >> 11) as f64 / (1u64 << 53) as f64)
     }
-}
-
-/// Splitmix64 finalizer: the client's only randomness, and it is not
-/// random at all — a fixed permutation of its input, used to derive the
-/// reproducible jitter stream.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Where a request attempt failed, which decides whether a retry on a
@@ -390,17 +383,33 @@ pub fn request_traced(
     stream.set_nodelay(true)?;
 
     let body = body.unwrap_or(&[]);
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ntraceparent: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        ctx.traceparent(),
-        body.len()
+    send_request(
+        &mut stream,
+        format_args!(
+            "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ntraceparent: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            ctx.traceparent(),
+            body.len()
+        ),
+        body,
     )?;
-    stream.write_all(body)?;
-    stream.flush()?;
 
     let (response, _keeps) = read_framed_response(&mut stream)?;
     Ok(response)
+}
+
+/// Sends a request head and body as one message: rendered into one
+/// buffer and written with a single `write_all`, so the request leaves
+/// as one send instead of a segment per fragment under `TCP_NODELAY`.
+fn send_request(
+    w: &mut impl Write,
+    head: std::fmt::Arguments<'_>,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(256 + body.len());
+    message.write_fmt(head)?;
+    message.extend_from_slice(body);
+    w.write_all(&message)?;
+    w.flush()
 }
 
 fn invalid(msg: impl Into<String>) -> std::io::Error {
@@ -544,11 +553,13 @@ pub fn sse_tail(
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     stream.set_nodelay(true)?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nhost: {addr}\r\naccept: text/event-stream\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+    send_request(
+        &mut stream,
+        format_args!(
+            "GET {path} HTTP/1.1\r\nhost: {addr}\r\naccept: text/event-stream\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+        ),
+        &[],
     )?;
-    stream.flush()?;
 
     // Head: read until the blank line, check status + chunked encoding.
     let mut raw = Vec::with_capacity(512);
@@ -789,6 +800,37 @@ fn parse_sse_frame(frame: &[u8]) -> Option<SseEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_request_leaves_in_one_write() {
+        #[derive(Default)]
+        struct CountingWriter {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for body in [&b""[..], b"{\"points\":[[1.0]]}"] {
+            let mut w = CountingWriter::default();
+            send_request(
+                &mut w,
+                format_args!("POST /p HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len()),
+                body,
+            )
+            .unwrap();
+            assert_eq!(w.writes, 1);
+            let head = format!("POST /p HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len());
+            assert_eq!(w.bytes, [head.as_bytes(), body].concat());
+        }
+    }
 
     #[test]
     fn base_urls_parse() {

@@ -401,108 +401,82 @@ impl Response {
         }
     }
 
-    /// Writes the response (HTTP/1.1). `keep_alive` decides the
+    /// Renders the whole message (HTTP/1.1): status line, headers, blank
+    /// line and body in one buffer. `keep_alive` decides the
     /// `Connection` header: the caller negotiated it from the request
     /// version, the client's `Connection` header, and its own
     /// per-connection request budget.
+    pub fn render(&self, keep_alive: bool) -> Vec<u8> {
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        // 256 bytes holds the usual head (status line, framing, request
+        // id, traceparent) without a reallocation.
+        let mut out = Vec::with_capacity(256 + self.body.len());
+        self.render_head(&mut out, Some(self.body.len()), connection);
+        out.extend_from_slice(&self.body);
+        out
+    }
+
+    /// Writes the response rendered by [`Response::render`] with a
+    /// single `write_all`, so it leaves as one send (one TCP segment
+    /// under `TCP_NODELAY` when it fits) rather than one per header.
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, self.reason())?;
-        write!(w, "content-type: {}\r\n", self.content_type)?;
-        write!(w, "content-length: {}\r\n", self.body.len())?;
-        let connection = if keep_alive { "keep-alive" } else { "close" };
-        write!(w, "connection: {connection}\r\n")?;
-        for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
-        }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)?;
+        w.write_all(&self.render(keep_alive))?;
         w.flush()
     }
 
-    /// Writes only the head of this response with
+    /// Appends only the head of this response to `out`, with
     /// `Transfer-Encoding: chunked` instead of a `Content-Length`, for
     /// endpoints that stream an open-ended body (the SSE job-event
-    /// stream). The body field is ignored; stream chunks through the
-    /// returned [`ChunkedWriter`]. Streamed responses always close the
-    /// connection when done.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn write_chunked_head<'a, W: Write>(
-        &self,
-        w: &'a mut W,
-    ) -> std::io::Result<ChunkedWriter<'a, W>> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, self.reason())?;
-        write!(w, "content-type: {}\r\n", self.content_type)?;
-        write!(w, "transfer-encoding: chunked\r\n")?;
-        write!(w, "connection: close\r\n")?;
-        for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+    /// stream). The body field is ignored; frame the body with
+    /// [`encode_chunk`] and end it with [`CHUNKED_BODY_END`]. Streamed
+    /// responses always close the connection when done.
+    pub fn write_chunked_head(&self, out: &mut Vec<u8>) {
+        self.render_head(out, None, "close");
+    }
+
+    /// Status line, automatic headers, extra headers and the blank line;
+    /// `content_length: None` means chunked framing.
+    fn render_head(&self, out: &mut Vec<u8>, content_length: Option<usize>, connection: &str) {
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n",
+            self.status,
+            self.reason(),
+            self.content_type
+        );
+        match content_length {
+            Some(n) => {
+                let _ = write!(out, "content-length: {n}\r\n");
+            }
+            None => out.extend_from_slice(b"transfer-encoding: chunked\r\n"),
         }
-        write!(w, "\r\n")?;
-        w.flush()?;
-        Ok(ChunkedWriter { w })
+        let _ = write!(out, "connection: {connection}\r\n");
+        for (name, value) in &self.headers {
+            let _ = write!(out, "{name}: {value}\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
     }
 }
 
-/// The terminating zero-length chunk ending a chunked body — what
-/// [`ChunkedWriter::finish`] writes, as bytes for buffer-building
-/// callers (the SSE streamer's outbox).
+/// The terminating zero-length chunk ending a chunked body.
 pub const CHUNKED_BODY_END: &[u8] = b"0\r\n\r\n";
 
-/// Appends one `<hex len>\r\n<bytes>\r\n` chunk frame to a byte buffer —
-/// the buffered twin of [`ChunkedWriter::chunk`], for writers that build
-/// an outbox and flush it nonblockingly. Empty input is skipped (a
-/// zero-length chunk would terminate the body).
+/// Appends one `<hex len>\r\n<bytes>\r\n` chunk frame to a byte buffer,
+/// for writers that build an outbox and flush it nonblockingly (the SSE
+/// streamer). Empty input is skipped (a zero-length chunk would
+/// terminate the body).
 pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
     if data.is_empty() {
         return;
     }
-    out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
+    let _ = write!(out, "{:x}\r\n", data.len());
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
-}
-
-/// Writes an HTTP/1.1 chunked body: each [`ChunkedWriter::chunk`] call
-/// becomes one `<hex len>\r\n<bytes>\r\n` frame, and
-/// [`ChunkedWriter::finish`] sends the terminating zero-length chunk.
-#[derive(Debug)]
-pub struct ChunkedWriter<'a, W: Write> {
-    w: &'a mut W,
-}
-
-impl<W: Write> ChunkedWriter<'_, W> {
-    /// Sends one non-empty chunk and flushes it (streaming consumers must
-    /// see frames as they happen, not when a buffer fills). Empty input is
-    /// skipped — a zero-length chunk would terminate the body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (the peer hanging up mid-stream).
-    pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
-        self.w.flush()
-    }
-
-    /// Terminates the chunked body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.w.write_all(CHUNKED_BODY_END)?;
-        self.w.flush()
-    }
 }
 
 #[cfg(test)]
@@ -684,50 +658,78 @@ mod tests {
     }
 
     #[test]
-    fn encode_chunk_matches_the_streaming_writer() {
-        // The buffered encoder and ChunkedWriter must stay wire-identical:
-        // the SSE streamer builds outboxes with one, tests and the
-        // blocking path use the other.
-        let mut streamed = Vec::new();
-        {
-            let mut w = ChunkedWriter { w: &mut streamed };
-            w.chunk(b"event: x\n\n").unwrap();
-            w.chunk(b"").unwrap();
-            w.chunk(b"hi").unwrap();
-        }
-        streamed.extend_from_slice(CHUNKED_BODY_END);
-        let mut buffered = Vec::new();
-        encode_chunk(&mut buffered, b"event: x\n\n");
-        encode_chunk(&mut buffered, b"");
-        encode_chunk(&mut buffered, b"hi");
-        buffered.extend_from_slice(CHUNKED_BODY_END);
-        assert_eq!(streamed, buffered);
-    }
-
-    #[test]
     fn chunked_bodies_frame_and_terminate() {
         let mut out = Vec::new();
         let mut sse = Response {
             status: 200,
             headers: Vec::new(),
-            body: Vec::new(),
+            body: b"ignored".to_vec(),
             content_type: "text/event-stream",
         };
         sse.headers
             .push(("cache-control".into(), "no-cache".into()));
-        let mut w = sse.write_chunked_head(&mut out).unwrap();
-        w.chunk(b"event: progress\ndata: {}\n\n").unwrap();
-        w.chunk(b"").unwrap(); // skipped, must not terminate the stream
-        w.chunk(b"xy").unwrap();
-        w.finish().unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("transfer-encoding: chunked"), "{text}");
-        assert!(text.contains("cache-control: no-cache"), "{text}");
-        assert!(!text.contains("content-length"), "{text}");
-        let (_, body) = text.split_once("\r\n\r\n").unwrap();
+        sse.write_chunked_head(&mut out);
+        encode_chunk(&mut out, b"event: progress\ndata: {}\n\n");
+        encode_chunk(&mut out, b""); // skipped, must not terminate the stream
+        encode_chunk(&mut out, b"xy");
+        out.extend_from_slice(CHUNKED_BODY_END);
         assert_eq!(
-            body,
-            "1a\r\nevent: progress\ndata: {}\n\n\r\n2\r\nxy\r\n0\r\n\r\n"
+            String::from_utf8(out).unwrap(),
+            "HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\n\
+             transfer-encoding: chunked\r\nconnection: close\r\n\
+             cache-control: no-cache\r\n\r\n\
+             1a\r\nevent: progress\ndata: {}\n\n\r\n2\r\nxy\r\n0\r\n\r\n"
+        );
+    }
+
+    /// Counts `write` calls: each is one syscall (and, under
+    /// `TCP_NODELAY`, one segment) on a socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write() {
+        let responses = [
+            Response::json(200, "{\"ok\":true}".into()),
+            Response::json(404, "{\"error\":{}}".into()),
+            Response::json(503, "{\"error\":{}}".into())
+                .with_header("retry-after", "2")
+                .with_header("x-request-id", "abc"),
+            Response::text(200, "x".repeat(64 * 1024)).with_header("x-model-version", "v1"),
+        ];
+        for response in &responses {
+            for keep_alive in [false, true] {
+                let mut w = CountingWriter::default();
+                response.write_to(&mut w, keep_alive).unwrap();
+                assert_eq!(w.writes, 1, "status {}", response.status);
+                assert_eq!(w.bytes, response.render(keep_alive));
+            }
+        }
+    }
+
+    #[test]
+    fn render_is_wire_identical_to_the_header_by_header_layout() {
+        let response = Response::json(201, "{}".into())
+            .with_header("x-a", "1")
+            .with_header("x-b", "two");
+        assert_eq!(
+            String::from_utf8(response.render(true)).unwrap(),
+            "HTTP/1.1 201 Created\r\ncontent-type: application/json\r\n\
+             content-length: 2\r\nconnection: keep-alive\r\nx-a: 1\r\nx-b: two\r\n\r\n{}"
         );
     }
 }

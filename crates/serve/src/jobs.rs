@@ -628,6 +628,9 @@ pub struct JobEntry {
     /// 1-based position in the admission queue; 0 once admitted (or when
     /// the job never had to wait). Maintained by the scheduler.
     queue_position: AtomicUsize,
+    /// 1-based order in which the scheduler admitted the job to a
+    /// running slot; 0 until then.
+    admission_seq: AtomicU64,
     /// Lifecycle-span emitter, set once at submission/adoption when the
     /// daemon has a trace store (absent in bare test managers).
     tracer: OnceLock<Arc<JobTracer>>,
@@ -645,6 +648,7 @@ impl JobEntry {
             handle: Mutex::new(None),
             preserve_files: std::sync::atomic::AtomicBool::new(false),
             queue_position: AtomicUsize::new(0),
+            admission_seq: AtomicU64::new(0),
             tracer: OnceLock::new(),
         })
     }
@@ -664,6 +668,17 @@ impl JobEntry {
     /// been admitted to a running slot (or reached a terminal state).
     pub fn queue_position(&self) -> Option<usize> {
         match self.queue_position.load(Ordering::Relaxed) {
+            0 => None,
+            n => Some(n),
+        }
+    }
+
+    /// The order in which the scheduler admitted this job to a running
+    /// slot (1 for its first admission), or `None` while it has not been
+    /// admitted. FIFO admission makes this submission order; completion
+    /// order also depends on each job's run time.
+    pub fn admission_seq(&self) -> Option<u64> {
+        match self.admission_seq.load(Ordering::Relaxed) {
             0 => None,
             n => Some(n),
         }
@@ -814,6 +829,17 @@ struct SchedState {
     /// Jobs admitted to a running slot whose driver has not yet reached
     /// a terminal outcome.
     running: usize,
+    /// Admissions so far: the last `admission_seq` handed out.
+    admitted: u64,
+}
+
+impl SchedState {
+    /// Takes a running slot for `entry` and stamps its admission order.
+    fn admit(&mut self, entry: &JobEntry) {
+        self.running += 1;
+        self.admitted += 1;
+        entry.admission_seq.store(self.admitted, Ordering::Relaxed);
+    }
 }
 
 /// FIFO admission over a bounded set of running slots. Submissions (and
@@ -842,6 +868,7 @@ impl Scheduler {
             state: Mutex::new(SchedState {
                 queue: VecDeque::new(),
                 running: 0,
+                admitted: 0,
             }),
             max_running: max_running.max(1),
         })
@@ -862,7 +889,7 @@ impl Scheduler {
     fn enqueue(self: &Arc<Scheduler>, job: QueuedJob) -> Result<(), ApiError> {
         let mut st = self.state.plock();
         if st.running < self.max_running && st.queue.is_empty() {
-            st.running += 1;
+            st.admit(&job.entry);
             let metrics = Arc::clone(&job.run.metrics);
             let outcome = spawn_admitted(self, &job.entry, job.run, job.queued_at.elapsed());
             if outcome.is_err() {
@@ -893,7 +920,7 @@ impl Scheduler {
             let waited = job.queued_at.elapsed();
             job.run.metrics.observe_queue_wait(waited);
             job.run.metrics.set_jobs_queued(st.queue.len());
-            st.running += 1;
+            st.admit(&job.entry);
             let entry = Arc::clone(&job.entry);
             let metrics = Arc::clone(&job.run.metrics);
             if let Err(e) = spawn_admitted(self, &entry, job.run, waited) {
@@ -1783,10 +1810,9 @@ mod tests {
         manager.drain();
     }
 
-    /// Satellite regression test: a burst of submissions beyond the
-    /// running limit must queue FIFO — never spawn more than
-    /// `max_running` concurrent runs, keep monotone queue positions, and
-    /// complete in submission order.
+    /// A burst of submissions beyond the running limit must queue FIFO:
+    /// never spawn more than `max_running` concurrent runs, keep
+    /// monotone queue positions, and admit in submission order.
     #[test]
     fn burst_submissions_queue_fifo_and_never_exceed_running_slots() {
         let manager = JobManager::new(None, 64, 2);
@@ -1844,16 +1870,23 @@ mod tests {
         assert!(manager.cancel(held[0].id));
         held[0].join();
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while held[2].queue_position().is_some() {
+        while held[2].queue_position().is_some() || held[2].admission_seq().is_none() {
             assert!(Instant::now() < deadline, "queue head never admitted");
             std::thread::yield_now();
         }
+        let admission: Vec<Option<u64>> = held.iter().map(|e| e.admission_seq()).collect();
+        assert_eq!(
+            admission[..4],
+            [Some(1), Some(2), Some(3), None],
+            "the freed slot admits the queue head, and only it"
+        );
         assert_eq!(manager.queue_depth(), 4);
         manager.drain();
 
-        // Phase 2: FIFO completion. Later jobs are strictly longer, so
-        // submission order is completion order with a wide margin; the
-        // sampler asserts the concurrency bound and the FIFO shape.
+        // Phase 2: FIFO admission. The sampler asserts the concurrency
+        // bound and the queue shape; the scheduler's admission sequence
+        // must follow submission order. Completion order also depends on
+        // run times the host's load stretches, so it is only reported.
         let manager = JobManager::new(None, 64, 2);
         let jobs: Vec<Arc<JobEntry>> = (0..6)
             .map(|i| {
@@ -1895,11 +1928,13 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
+        let admission: Vec<Option<u64>> = jobs.iter().map(|e| e.admission_seq()).collect();
         assert_eq!(
-            completion_order,
-            (0..jobs.len()).collect::<Vec<_>>(),
-            "jobs must finish in submission order"
+            admission,
+            (1..=jobs.len() as u64).map(Some).collect::<Vec<_>>(),
+            "jobs must be admitted in submission order"
         );
+        eprintln!("burst completion order: {completion_order:?}");
         for job in &jobs {
             assert!(matches!(job.outcome(), JobOutcome::Published { .. }));
         }

@@ -99,6 +99,7 @@
 #![deny(unsafe_code)]
 
 pub mod client;
+mod codec;
 mod dashboard;
 mod error;
 mod handlers;

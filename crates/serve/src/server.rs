@@ -13,7 +13,7 @@ use caffeine_obs::{
 
 use crate::error::ApiError;
 use crate::handlers;
-use crate::http::{self, HttpError, Response};
+use crate::http::{self, HttpError};
 use crate::jobs::JobManager;
 use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
@@ -557,14 +557,7 @@ fn wait_for_next_request(
 fn write_busy(stream: &mut TcpStream, pool_queued: usize, logger: &Logger) {
     let retry_after = (1 + pool_queued as u64 / 4).min(30);
     let request_id = caffeine_obs::request_id();
-    let mut rendered = Vec::with_capacity(256);
-    let _ = Response::json(
-        503,
-        "{\"error\":{\"code\":\"unavailable\",\"message\":\"server is saturated\"}}".into(),
-    )
-    .with_header("retry-after", retry_after.to_string())
-    .with_header("x-request-id", request_id.clone())
-    .write_to(&mut rendered, false);
+    let rendered = busy_response(retry_after, &request_id).render(false);
     logger.warn(
         "http.busy",
         &[
@@ -575,5 +568,46 @@ fn write_busy(stream: &mut TcpStream, pool_queued: usize, logger: &Logger) {
     );
     if stream.set_nonblocking(true).is_ok() {
         let _ = stream.write(&rendered);
+    }
+}
+
+/// The saturated-pool 503 [`write_busy`] sends.
+fn busy_response(retry_after: u64, request_id: &str) -> http::Response {
+    ApiError::unavailable("server is saturated")
+        .with_retry_after(retry_after)
+        .into_response()
+        .with_header("x-request-id", request_id)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_busy_reply_is_one_write_of_the_documented_bytes() {
+        struct CountingWriter(usize, Vec<u8>);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter(0, Vec::new());
+        busy_response(3, "abc").write_to(&mut w, false).unwrap();
+        assert_eq!(w.0, 1);
+        let body = r#"{"error":{"code":"unavailable","message":"server is saturated"}}"#;
+        assert_eq!(
+            String::from_utf8(w.1).unwrap(),
+            format!(
+                "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+                 content-length: {}\r\nconnection: close\r\nretry-after: 3\r\n\
+                 x-request-id: abc\r\n\r\n{body}",
+                body.len()
+            )
+        );
     }
 }
